@@ -39,6 +39,7 @@ import (
 	"time"
 
 	sb "smallbuffers"
+	"smallbuffers/internal/experiments"
 	"smallbuffers/internal/service"
 )
 
@@ -172,21 +173,14 @@ func run(ctx context.Context, args []string) error {
 		return runJSON(ctx, w, exps)
 	}
 
-	ok := true
-	for _, e := range exps {
-		if _, err := fmt.Fprintf(w, "\n%s — %s (%s)\n\n", e.ID, e.Title, e.Paper); err != nil {
-			return err
-		}
-		outcome, err := e.Run(ctx, w)
-		if err != nil {
-			return fmt.Errorf("%s: %w", e.ID, err)
-		}
-		ok = ok && outcome.OK
+	ok, err := experiments.RunAll(ctx, w, exps)
+	if err != nil {
+		return err
 	}
 	if !ok {
 		return fmt.Errorf("some experiments report violated bounds")
 	}
-	_, err := fmt.Fprintln(w, "\nall experiments passed")
+	_, err = fmt.Fprintln(w, "\nall experiments passed")
 	return err
 }
 
@@ -214,15 +208,22 @@ func scenarioFiles(path string) ([]string, error) {
 // forEachScenarioFile expands the -scenarios operand and applies fn to
 // every file, printing FAIL lines and aggregating the failure count; on
 // success it prints the "<verb> all N scenario files" summary (with the
-// optional suffix, e.g. the remote base URL).
-func forEachScenarioFile(ctx context.Context, w io.Writer, path, verb, suffix string, fn func(f string) error) error {
+// optional suffix, e.g. the remote base URL), then the corpus-wide merge
+// of the metric summaries the files returned (percentiles re-derived
+// from the merged histograms, not averaged).
+func forEachScenarioFile(ctx context.Context, w io.Writer, path, verb, suffix string, fn func(f string) (map[string]sb.MetricSummary, error)) error {
 	files, err := scenarioFiles(path)
 	if err != nil {
 		return err
 	}
 	failed := 0
+	var corpus []map[string]sb.MetricSummary
 	for _, f := range files {
-		if err := fn(f); err != nil {
+		m, err := fn(f)
+		if len(m) > 0 {
+			corpus = append(corpus, m)
+		}
+		if err != nil {
 			failed++
 			fmt.Fprintf(w, "%s: FAIL: %v\n", f, err)
 			if ctx.Err() != nil {
@@ -233,32 +234,24 @@ func forEachScenarioFile(ctx context.Context, w io.Writer, path, verb, suffix st
 	if failed > 0 {
 		return fmt.Errorf("%d of %d scenario files failed", failed, len(files))
 	}
-	_, err = fmt.Fprintf(w, "\n%s all %d scenario files%s\n", verb, len(files), suffix)
-	return err
+	if _, err := fmt.Fprintf(w, "\n%s all %d scenario files%s\n", verb, len(files), suffix); err != nil {
+		return err
+	}
+	return printCorpusMetrics(w, corpus)
 }
 
 // runScenarios validates (and, unless validateOnly, executes) every
 // scenario file, reporting one block per file. Validation includes the
 // canonical round-trip: the marshaled form must load and re-marshal to
-// the same bytes. Files that select metrics contribute their aggregated
-// summaries to a corpus-wide report (percentiles re-derived from the
-// merged histograms, not averaged).
+// the same bytes.
 func runScenarios(ctx context.Context, w io.Writer, path string, validateOnly bool, storeDir string) error {
 	verb := "ran"
 	if validateOnly {
 		verb = "validated"
 	}
-	var corpus []map[string]sb.MetricSummary
-	if err := forEachScenarioFile(ctx, w, path, verb, "", func(f string) error {
-		m, err := runScenarioFile(ctx, w, f, validateOnly, storeDir)
-		if len(m) > 0 {
-			corpus = append(corpus, m)
-		}
-		return err
-	}); err != nil {
-		return err
-	}
-	return printCorpusMetrics(w, corpus)
+	return forEachScenarioFile(ctx, w, path, verb, "", func(f string) (map[string]sb.MetricSummary, error) {
+		return runScenarioFile(ctx, w, f, validateOnly, storeDir)
+	})
 }
 
 // printMetricLines writes one "metric <name>: k=v …" line per summary,
@@ -292,63 +285,31 @@ func printCorpusMetrics(w io.Writer, corpus []map[string]sb.MetricSummary) error
 	return nil
 }
 
-// storedDigest reports the verified results digest the store already
-// holds for sc, or "" when the scenario still needs to run. Entries that
-// fail verification (or predate the current span/format) are evicted so
-// the run recomputes them.
-func storedDigest(root string, sc *sb.Scenario) (string, error) {
+// storeKey names sc's whole-grid store entry: its scenario digest and
+// cell-index span.
+func storeKey(sc *sb.Scenario) (string, sb.CellIndexRange, error) {
 	dig, err := sc.Digest()
 	if err != nil {
-		return "", err
+		return "", sb.CellIndexRange{}, err
 	}
 	total, err := sc.GridSize()
-	if err != nil {
-		return "", err
-	}
-	st, err := sb.OpenResultStore(root, dig, sb.CellIndexRange{Lo: 0, Hi: total}, sb.ResultStoreOptions{})
-	if err != nil {
-		return "", sb.RemoveResultStoreEntry(root, dig)
-	}
-	defer st.Close()
-	if !st.Complete() || st.RecordsDigest() == "" {
-		return "", nil
-	}
-	rederived, err := st.Digest()
-	if err != nil || rederived != st.RecordsDigest() {
-		st.Close()
-		return "", sb.RemoveResultStoreEntry(root, dig)
-	}
-	return rederived, nil
+	return dig, sb.CellIndexRange{Lo: 0, Hi: total}, err
 }
 
-// persistRun appends a completed sweep's records to the store entry and
-// seals it with the results digest.
-func persistRun(root string, sc *sb.Scenario, agg *sb.SweepResult) error {
-	dig, err := sc.Digest()
+// storedDigest reports the verified results digest the store already
+// holds for sc, or "" when the scenario still needs to run (see
+// sb.LookupResultStore for which entries are served and which evicted).
+func storedDigest(root string, sc *sb.Scenario) (string, error) {
+	dig, span, err := storeKey(sc)
 	if err != nil {
-		return err
+		return "", err
 	}
-	total, err := sc.GridSize()
-	if err != nil {
-		return err
-	}
-	st, err := sb.OpenResultStore(root, dig, sb.CellIndexRange{Lo: 0, Hi: total}, sb.ResultStoreOptions{})
-	if err != nil {
-		return err
+	st, err := sb.LookupResultStore(root, dig, span)
+	if st == nil {
+		return "", err
 	}
 	defer st.Close()
-	for _, rec := range agg.Records() {
-		if st.Has(rec.Index) {
-			continue
-		}
-		if err := st.Append(rec); err != nil {
-			return err
-		}
-	}
-	if st.Complete() {
-		return st.SetRecordsDigest(agg.Digest())
-	}
-	return nil
+	return st.RecordsDigest(), nil
 }
 
 func runScenarioFile(ctx context.Context, w io.Writer, path string, validateOnly bool, storeDir string) (map[string]sb.MetricSummary, error) {
@@ -417,12 +378,41 @@ func runScenarioFile(ctx context.Context, w io.Writer, path string, validateOnly
 		printMetricLines(w, "  ", ms)
 	}
 	if storeDir != "" {
-		if err := persistRun(storeDir, sc, agg); err != nil {
+		dig, span, err := storeKey(sc)
+		if err == nil {
+			err = sb.SaveResultStore(storeDir, dig, span, agg.Records(), agg.Digest())
+		}
+		if err != nil {
 			return ms, fmt.Errorf("persisting results: %w", err)
 		}
 	}
 	_, err = fmt.Fprintf(w, "  ok (%d cells)\n", agg.Completed)
 	return ms, err
+}
+
+// printRecords writes one line per cell record of a served or fleet run.
+func printRecords(w io.Writer, recs []sb.SweepCellRecord) {
+	for _, cell := range recs {
+		if cell.Err != "" {
+			fmt.Fprintf(w, "  %-70s error: %v\n", cell.Cell, cell.Err)
+			continue
+		}
+		fmt.Fprintf(w, "  %-70s max load %3d, delivered %6d\n", cell.Cell, cell.MaxLoad, cell.Delivered)
+	}
+}
+
+// reportMetrics prints a served or fleet run's merged summaries when sc
+// selects metrics, and returns them by name for the corpus report.
+func reportMetrics(w io.Writer, sc *sb.Scenario, sums []sb.MetricSummary) map[string]sb.MetricSummary {
+	if len(sc.Metrics) == 0 || len(sums) == 0 {
+		return nil
+	}
+	ms := make(map[string]sb.MetricSummary, len(sums))
+	for _, s := range sums {
+		ms[s.Name] = s
+	}
+	printMetricLines(w, "  ", ms)
+	return ms
 }
 
 // runScenariosRemote replays every scenario file against a running
@@ -433,17 +423,9 @@ func runScenarioFile(ctx context.Context, w io.Writer, path string, validateOnly
 func runScenariosRemote(ctx context.Context, w io.Writer, baseURL, path string) error {
 	baseURL = strings.TrimRight(baseURL, "/")
 	client := &http.Client{}
-	var corpus []map[string]sb.MetricSummary
-	if err := forEachScenarioFile(ctx, w, path, "ran", " against "+baseURL, func(f string) error {
-		m, err := runScenarioRemote(ctx, w, client, baseURL, f)
-		if len(m) > 0 {
-			corpus = append(corpus, m)
-		}
-		return err
-	}); err != nil {
-		return err
-	}
-	return printCorpusMetrics(w, corpus)
+	return forEachScenarioFile(ctx, w, path, "ran", " against "+baseURL, func(f string) (map[string]sb.MetricSummary, error) {
+		return runScenarioRemote(ctx, w, client, baseURL, f)
+	})
 }
 
 func runScenarioRemote(ctx context.Context, w io.Writer, client *http.Client, baseURL, path string) (map[string]sb.MetricSummary, error) {
@@ -486,27 +468,14 @@ func runScenarioRemote(ctx context.Context, w io.Writer, client *http.Client, ba
 		from = "served from cache"
 	}
 	fmt.Fprintf(w, "\n%s — %s (%s, run %s, %s)\n\n", title, path, rep.Digest, rep.ID, from)
-	for _, cell := range rep.Cells {
-		if cell.Err != "" {
-			fmt.Fprintf(w, "  %-70s error: %v\n", cell.Cell, cell.Err)
-			continue
-		}
-		fmt.Fprintf(w, "  %-70s max load %3d, delivered %6d\n", cell.Cell, cell.MaxLoad, cell.Delivered)
-	}
+	printRecords(w, rep.Cells)
 	if rep.Summary == nil {
 		return nil, fmt.Errorf("server report carries no summary (status %s)", rep.Status)
 	}
 	if rep.Summary.Failed > 0 {
 		return nil, fmt.Errorf("%d of %d cells failed", rep.Summary.Failed, rep.Summary.Requested)
 	}
-	var ms map[string]sb.MetricSummary
-	if len(sc.Metrics) > 0 && len(rep.Summary.Metrics) > 0 {
-		ms = make(map[string]sb.MetricSummary, len(rep.Summary.Metrics))
-		for _, s := range rep.Summary.Metrics {
-			ms[s.Name] = s
-		}
-		printMetricLines(w, "  ", ms)
-	}
+	ms := reportMetrics(w, sc, rep.Summary.Metrics)
 	_, err = fmt.Fprintf(w, "  ok (%d cells, results %s)\n", rep.Summary.Completed, rep.ResultsDigest)
 	return ms, err
 }
@@ -518,48 +487,14 @@ func runScenarioRemote(ctx context.Context, w io.Writer, client *http.Client, ba
 // as the distributed-vs-local reproducibility check (compare with
 // `aqtsim -scenario f -result-digest`).
 func runScenariosFleet(ctx context.Context, w io.Writer, fleetArg, path string) error {
-	endpoints, err := parseFleetArg(fleetArg)
+	endpoints, err := sb.ParseFleetEndpoints(fleetArg)
 	if err != nil {
 		return err
 	}
 	cfg := sb.FleetConfig{Endpoints: endpoints}
-	var corpus []map[string]sb.MetricSummary
-	if err := forEachScenarioFile(ctx, w, path, "ran", fmt.Sprintf(" across %d daemons", len(endpoints)), func(f string) error {
-		m, err := runScenarioFleet(ctx, w, cfg, f)
-		if len(m) > 0 {
-			corpus = append(corpus, m)
-		}
-		return err
-	}); err != nil {
-		return err
-	}
-	return printCorpusMetrics(w, corpus)
-}
-
-// parseFleetArg expands a -fleet operand: a comma-separated endpoint
-// list, or @file with one endpoint per line (blank lines and #-comments
-// ignored).
-func parseFleetArg(arg string) ([]string, error) {
-	var raw []string
-	if strings.HasPrefix(arg, "@") {
-		data, err := os.ReadFile(strings.TrimPrefix(arg, "@"))
-		if err != nil {
-			return nil, fmt.Errorf("fleet file: %w", err)
-		}
-		raw = strings.Split(string(data), "\n")
-	} else {
-		raw = strings.Split(arg, ",")
-	}
-	var eps []string
-	for _, line := range raw {
-		if ep := strings.TrimSpace(line); ep != "" && !strings.HasPrefix(ep, "#") {
-			eps = append(eps, ep)
-		}
-	}
-	if len(eps) == 0 {
-		return nil, fmt.Errorf("no endpoints in -fleet %q", arg)
-	}
-	return eps, nil
+	return forEachScenarioFile(ctx, w, path, "ran", fmt.Sprintf(" across %d daemons", len(endpoints)), func(f string) (map[string]sb.MetricSummary, error) {
+		return runScenarioFleet(ctx, w, cfg, f)
+	})
 }
 
 func runScenarioFleet(ctx context.Context, w io.Writer, cfg sb.FleetConfig, path string) (map[string]sb.MetricSummary, error) {
@@ -578,24 +513,11 @@ func runScenarioFleet(ctx context.Context, w io.Writer, cfg sb.FleetConfig, path
 		title = filepath.Base(path)
 	}
 	fmt.Fprintf(w, "\n%s — %s\n\n", title, path)
-	for _, cell := range res.Records {
-		if cell.Err != "" {
-			fmt.Fprintf(w, "  %-70s error: %v\n", cell.Cell, cell.Err)
-			continue
-		}
-		fmt.Fprintf(w, "  %-70s max load %3d, delivered %6d\n", cell.Cell, cell.MaxLoad, cell.Delivered)
-	}
+	printRecords(w, res.Records)
 	if sum.Failed > 0 {
 		return nil, fmt.Errorf("%d of %d cells failed", sum.Failed, sum.Requested)
 	}
-	var ms map[string]sb.MetricSummary
-	if len(sc.Metrics) > 0 && len(sum.Metrics) > 0 {
-		ms = make(map[string]sb.MetricSummary, len(sum.Metrics))
-		for _, s := range sum.Metrics {
-			ms[s.Name] = s
-		}
-		printMetricLines(w, "  ", ms)
-	}
+	ms := reportMetrics(w, sc, sum.Metrics)
 	fmt.Fprintf(w, "  fleet: %d retries, %d steals, wall %v (ideal %v)\n",
 		sum.Retries, sum.Steals, sum.Wall.Round(time.Millisecond), sum.Ideal.Round(time.Millisecond))
 	_, err = fmt.Fprintf(w, "  ok (%d cells, results %s)\n", sum.Completed, sum.ResultsDigest)

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	sb "smallbuffers"
 	"smallbuffers/internal/service"
 )
 
@@ -196,5 +197,81 @@ func TestJSONCancelledContext(t *testing.T) {
 	cancel()
 	if err := run(ctx, []string{"-run", "E1", "-json", "-o", filepath.Join(t.TempDir(), "x.json")}); err == nil {
 		t.Error("cancelled context did not abort the run")
+	}
+}
+
+// TestFleetDuplicateEndpoint: -fleet shares aqtctl's parser, which
+// rejects a daemon listed twice before anything is dispatched.
+func TestFleetDuplicateEndpoint(t *testing.T) {
+	err := run(context.Background(), []string{"-scenarios", "../../testdata/scenarios/e1-pts-burst.json",
+		"-fleet", "127.0.0.1:1,127.0.0.1:1", "-o", filepath.Join(t.TempDir(), "out.txt")})
+	if err == nil || !strings.Contains(err.Error(), "duplicate fleet endpoint") {
+		t.Fatalf("duplicate -fleet endpoint: err = %v", err)
+	}
+}
+
+// TestScenarioStore drives -store end to end: the first run persists, the
+// second is served from the store, and a bit-flipped segment is evicted
+// and recomputed to the same digest.
+func TestScenarioStore(t *testing.T) {
+	const file = "../../testdata/scenarios/e1-pts-burst.json"
+	root := t.TempDir()
+	out := filepath.Join(t.TempDir(), "out.txt")
+	runStore := func() string {
+		t.Helper()
+		if err := run(context.Background(), []string{"-scenarios", file, "-store", root, "-o", out}); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	sc, err := sb.LoadScenarioFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dig, err := sc.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg, err := sc.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := "stored (results " + agg.Digest() + ")"
+
+	if got := runStore(); strings.Contains(got, "stored") || !strings.Contains(got, "ok (1 cells)") {
+		t.Fatalf("first run:\n%s", got)
+	}
+	if got, err := storedDigest(root, sc); err != nil || got != agg.Digest() {
+		t.Fatalf("first run persisted digest %q (%v), want %s", got, err, agg.Digest())
+	}
+	if got := runStore(); !strings.Contains(got, stored) {
+		t.Fatalf("second run not served from the store:\n%s", got)
+	}
+
+	segs, err := filepath.Glob(filepath.Join(sb.StoreEntryDir(root, dig), "seg-*.ndj"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no persisted segments: %v %v", segs, err)
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := strings.Index(string(data), `"delivered"`)
+	if at < 0 {
+		t.Fatal("no payload byte to flip")
+	}
+	data[at+3] ^= 0x01
+	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := runStore(); strings.Contains(got, "stored") || !strings.Contains(got, "ok (1 cells)") {
+		t.Fatalf("corrupt entry served instead of recomputed:\n%s", got)
+	}
+	if got := runStore(); !strings.Contains(got, stored) {
+		t.Fatalf("recomputed entry not served at the original digest:\n%s", got)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	sb "smallbuffers"
 	"smallbuffers/internal/scenario"
 	"smallbuffers/internal/service"
 )
@@ -100,17 +101,17 @@ func TestAqtctlEndToEnd(t *testing.T) {
 }
 
 func TestParseFleet(t *testing.T) {
-	eps, err := parseFleet("a:1, b:2,,")
+	eps, err := sb.ParseFleetEndpoints("a:1, b:2,,")
 	if err != nil || len(eps) != 2 || eps[0] != "a:1" || eps[1] != "b:2" {
-		t.Errorf("parseFleet list = %v, %v", eps, err)
+		t.Errorf("ParseFleetEndpoints = %v, %v", eps, err)
 	}
-	if _, err := parseFleet("a:1,a:1"); err == nil {
+	if _, err := sb.ParseFleetEndpoints("a:1,a:1"); err == nil {
 		t.Error("duplicate endpoints accepted")
 	}
-	if _, err := parseFleet(",,"); err == nil {
+	if _, err := sb.ParseFleetEndpoints(",,"); err == nil {
 		t.Error("empty list accepted")
 	}
-	if _, err := parseFleet("@/nonexistent/fleet.txt"); err == nil {
+	if _, err := sb.ParseFleetEndpoints("@/nonexistent/fleet.txt"); err == nil {
 		t.Error("missing fleet file accepted")
 	}
 }

@@ -161,14 +161,14 @@ func TestServeFlagErrors(t *testing.T) {
 }
 
 func TestParseEndpoints(t *testing.T) {
-	eps, err := parseEndpoints("a:1, b:2,,# c")
+	eps, err := sb.ParseFleetEndpoints("a:1, b:2,,# c")
 	if err != nil || len(eps) != 2 || eps[0] != "a:1" || eps[1] != "b:2" {
 		t.Errorf("parseEndpoints = %v, %v", eps, err)
 	}
-	if _, err := parseEndpoints(",,"); err == nil {
+	if _, err := sb.ParseFleetEndpoints(",,"); err == nil {
 		t.Error("empty list accepted")
 	}
-	if _, err := parseEndpoints("@/nonexistent"); err == nil {
+	if _, err := sb.ParseFleetEndpoints("@/nonexistent"); err == nil {
 		t.Error("missing fleet file accepted")
 	}
 }

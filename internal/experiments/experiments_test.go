@@ -3,7 +3,6 @@ package experiments
 import (
 	"bytes"
 	"context"
-	"io"
 	"strings"
 	"testing"
 )
@@ -64,16 +63,29 @@ func TestExperimentsPass(t *testing.T) {
 	}
 }
 
+// TestRunAllAggregates checks the suite runner's fold over a fast
+// subset; TestExperimentsPass checks every experiment's bounds.
 func TestRunAllAggregates(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the full suite")
+	var exps []Experiment
+	for _, id := range []string{"F1", "E9"} {
+		e, err := ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exps = append(exps, e)
 	}
-	ok, err := RunAll(context.Background(), io.Discard)
+	var buf bytes.Buffer
+	ok, err := RunAll(context.Background(), &buf, exps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ok {
 		t.Error("RunAll reports failures")
+	}
+	for _, e := range exps {
+		if !strings.Contains(buf.String(), e.ID+" — "+e.Title) {
+			t.Errorf("RunAll output lacks the %s header", e.ID)
+		}
 	}
 }
 

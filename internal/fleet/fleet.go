@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"strings"
 	"sync"
 	"time"
@@ -95,6 +96,37 @@ func (c Config) withDefaults() Config {
 		c.Logf = func(string, ...any) {}
 	}
 	return c
+}
+
+// ParseEndpoints expands a -fleet operand into an endpoint list: a
+// comma-separated list, or @file with one endpoint per line. Blank
+// entries and #-comments are ignored; a duplicate endpoint is an error.
+func ParseEndpoints(arg string) ([]string, error) {
+	raw := strings.Split(arg, ",")
+	if path, ok := strings.CutPrefix(arg, "@"); ok {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return nil, fmt.Errorf("fleet file: %w", err)
+		}
+		raw = strings.Split(string(data), "\n")
+	}
+	var eps []string
+	seen := map[string]bool{}
+	for _, line := range raw {
+		ep := strings.TrimSpace(line)
+		if ep == "" || strings.HasPrefix(ep, "#") {
+			continue
+		}
+		if seen[ep] {
+			return nil, fmt.Errorf("duplicate fleet endpoint %q", ep)
+		}
+		seen[ep] = true
+		eps = append(eps, ep)
+	}
+	if len(eps) == 0 {
+		return nil, fmt.Errorf("no endpoints in -fleet %q", arg)
+	}
+	return eps, nil
 }
 
 // DaemonStats is one daemon's share of a fleet run.
@@ -337,51 +369,17 @@ func Run(ctx context.Context, cfg Config, sc *scenario.Scenario) (*Result, error
 	}
 
 	var recs []harness.CellRecord
+	var f *harness.RecordFold
 	if co.st != nil {
 		// Stream the merged records back off disk in index order: the
-		// digest comes from a RecordsDigester over the stored bytes and
-		// the metric fold happens record by record — O(1) cells in
-		// memory, exactly like the append path.
-		digest, err := co.st.Digest()
-		if err != nil {
-			return nil, fmt.Errorf("fleet: store digest: %w", err)
-		}
-		sum.ResultsDigest = digest
-		agg := make(map[string]metrics.Summary)
-		mergeable := true
-		err = co.st.Scan(func(rec harness.CellRecord) error {
-			if rec.Err != "" {
-				sum.Failed++
-				return nil
-			}
-			sum.Completed++
-			if !mergeable {
-				return nil
-			}
-			for _, ms := range rec.Metrics {
-				prev, ok := agg[ms.Name]
-				if !ok {
-					agg[ms.Name] = ms
-					continue
-				}
-				m, err := metrics.Merge(prev, ms)
-				if err != nil {
-					// Same policy as MergeAll failing below: drop the
-					// aggregate, keep the run.
-					mergeable = false
-					return nil
-				}
-				agg[ms.Name] = m
-			}
-			return nil
-		})
-		if err != nil {
+		// digest is re-derived from the stored bytes and the metric fold
+		// happens record by record — O(1) cells in memory, exactly like
+		// the append path.
+		f = harness.NewRecordFold()
+		if err := co.st.Fold(f); err != nil {
 			return nil, fmt.Errorf("fleet: store scan: %w", err)
 		}
-		if mergeable && len(agg) > 0 {
-			sum.Metrics = metrics.Records(agg)
-		}
-		if err := co.st.SetRecordsDigest(digest); err != nil {
+		if err := co.st.SetRecordsDigest(f.Digest()); err != nil {
 			return nil, fmt.Errorf("fleet: store digest commit: %w", err)
 		}
 	} else {
@@ -393,26 +391,10 @@ func Run(ctx context.Context, cfg Config, sc *scenario.Scenario) (*Result, error
 			}
 			recs = append(recs, rec)
 		}
-		sum.ResultsDigest = harness.RecordsDigest(recs)
-		var perCell []map[string]metrics.Summary
-		for _, rec := range recs {
-			if rec.Err != "" {
-				sum.Failed++
-				continue
-			}
-			sum.Completed++
-			if len(rec.Metrics) > 0 {
-				m := make(map[string]metrics.Summary, len(rec.Metrics))
-				for _, s := range rec.Metrics {
-					m[s.Name] = s
-				}
-				perCell = append(perCell, m)
-			}
-		}
-		if merged, err := metrics.MergeAll(perCell); err == nil {
-			sum.Metrics = metrics.Records(merged)
-		}
+		f = harness.FoldRecords(recs)
 	}
+	sum.Completed, sum.Failed = f.Completed, f.Failed
+	sum.ResultsDigest, sum.Metrics = f.Digest(), f.Metrics()
 
 	var busy time.Duration
 	for _, d := range daemons {
@@ -710,22 +692,15 @@ func (co *coordinator) commitDone(d *daemonState, t *task, elapsed time.Duration
 				d.endpoint, t.item.rng, missing))
 			return
 		}
-		d.consecFails = 0
-		d.stats.Cells += t.appended
-		d.stats.Busy += elapsed
-		co.settleLocked(t)
-		return
-	}
-	if len(t.received) != t.item.rng.Count() {
+	} else if len(t.received) != t.item.rng.Count() {
 		co.failLocked(t, fmt.Errorf("fleet: %s returned %d records for %d-cell shard %s",
 			d.endpoint, len(t.received), t.item.rng.Count(), t.item.rng))
 		return
-	}
-	if !co.commitLocked(t, t.received) {
+	} else if !co.commitLocked(t, t.received) {
 		return
 	}
 	d.consecFails = 0
-	d.stats.Cells += len(t.received)
+	d.stats.Cells += t.got()
 	d.stats.Busy += elapsed
 	co.settleLocked(t)
 }
@@ -733,42 +708,27 @@ func (co *coordinator) commitDone(d *daemonState, t *task, elapsed time.Duration
 // commitStolen merges what a cancelled victim actually executed and
 // re-enqueues the uncovered remainder. Records of cells that were
 // interrupted mid-simulation carry a context-cancellation error — those
-// are scheduling artifacts, not results, and return to the queue.
+// are scheduling artifacts, not results, and return to the queue. With a
+// store, the clean records are already on disk (appendCell filters the
+// artifacts).
 func (co *coordinator) commitStolen(d *daemonState, t *task, elapsed time.Duration) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	if co.st != nil {
-		// Clean records already streamed to disk (appendCell filters the
-		// cancellation artifacts); re-enqueue the uncovered remainder,
-		// splitting a single large one so thief and victim share it.
-		d.consecFails = 0
-		d.stats.Cells += t.appended
-		d.stats.Busy += elapsed
-		rest := co.st.UncoveredIn(t.item.rng)
-		if len(rest) == 1 && rest[0].Count() >= 2*co.cfg.MinStealCells {
-			mid := rest[0].Lo + rest[0].Count()/2
-			rest = []harness.IndexRange{{Lo: rest[0].Lo, Hi: mid}, {Lo: mid, Hi: rest[0].Hi}}
+	kept := t.appended
+	if co.st == nil {
+		clean := make([]harness.CellRecord, 0, len(t.received))
+		for _, rec := range t.received {
+			if !strings.Contains(rec.Err, context.Canceled.Error()) {
+				clean = append(clean, rec)
+			}
 		}
-		for _, rng := range rest {
-			co.pending = append(co.pending, shardItem{rng: rng, attempts: t.item.attempts})
+		if !co.commitLocked(t, clean) {
+			return
 		}
-		co.cfg.Logf("fleet: shard %s stolen: %d cells kept, %d re-enqueued in %d pieces",
-			t.item.rng, t.appended, t.item.rng.Count()-t.appended, len(rest))
-		co.settleLocked(t)
-		return
-	}
-	clean := make([]harness.CellRecord, 0, len(t.received))
-	for _, rec := range t.received {
-		if strings.Contains(rec.Err, context.Canceled.Error()) {
-			continue
-		}
-		clean = append(clean, rec)
-	}
-	if !co.commitLocked(t, clean) {
-		return
+		kept = len(clean)
 	}
 	d.consecFails = 0
-	d.stats.Cells += len(clean)
+	d.stats.Cells += kept
 	d.stats.Busy += elapsed
 
 	// Re-enqueue the uncovered sub-intervals; split a single large
@@ -782,7 +742,7 @@ func (co *coordinator) commitStolen(d *daemonState, t *task, elapsed time.Durati
 		co.pending = append(co.pending, shardItem{rng: rng, attempts: t.item.attempts})
 	}
 	co.cfg.Logf("fleet: shard %s stolen: %d cells kept, %d re-enqueued in %d pieces",
-		t.item.rng, len(clean), t.item.rng.Count()-len(clean), len(rest))
+		t.item.rng, kept, t.item.rng.Count()-kept, len(rest))
 	co.settleLocked(t)
 }
 
@@ -810,8 +770,11 @@ func (co *coordinator) commitLocked(t *task, recs []harness.CellRecord) bool {
 }
 
 // uncoveredLocked lists the maximal sub-intervals of rng whose cells are
-// not yet committed. Caller holds co.mu.
+// not yet merged. Caller holds co.mu.
 func (co *coordinator) uncoveredLocked(rng harness.IndexRange) []harness.IndexRange {
+	if co.st != nil {
+		return co.st.UncoveredIn(rng)
+	}
 	var out []harness.IndexRange
 	for i := rng.Lo; i < rng.Hi; i++ {
 		if _, ok := co.committed[i]; ok {

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash"
+
+	"smallbuffers/internal/metrics"
 )
 
 // RecordsDigester computes RecordsDigest incrementally: records are fed
@@ -82,3 +84,80 @@ func (d *RecordsDigester) Sum() string {
 	}
 	return "sha256:" + hex.EncodeToString(h.Sum(nil))
 }
+
+// RecordFold folds cell records, fed in strictly increasing index order,
+// into the aggregate every tier reports for a run: the completed and
+// failed counts, the results digest (see RecordsDigest) and the
+// grid-wide metric summaries, merged per collector name in index order
+// (see metrics.Merge). It holds no records, so a store-backed merge can
+// stream an entry of any size through it.
+type RecordFold struct {
+	Completed, Failed int
+
+	digest  *RecordsDigester
+	metrics map[string]metrics.Summary // nil once a merge has failed
+}
+
+// NewRecordFold returns an empty fold.
+func NewRecordFold() *RecordFold {
+	return &RecordFold{digest: NewRecordsDigester(), metrics: map[string]metrics.Summary{}}
+}
+
+// FoldRecords folds recs, which must be in index order.
+func FoldRecords(recs []CellRecord) *RecordFold {
+	f := NewRecordFold()
+	for _, rec := range recs {
+		if err := f.digest.Add(rec); err != nil {
+			// Grid indices are unique by construction; see RecordsDigest.
+			panic(err)
+		}
+		f.fold(rec)
+	}
+	return f
+}
+
+// AddEncoded folds one record whose canonical JSON encoding (see
+// RecordsDigester.AddEncoded) the caller already holds; the digest
+// hashes those bytes. A duplicate or out-of-order index is an error and
+// leaves the fold unchanged.
+func (f *RecordFold) AddEncoded(rec CellRecord, line []byte) error {
+	if err := f.digest.AddEncoded(rec.Index, rec.Faults != "", line); err != nil {
+		return err
+	}
+	f.fold(rec)
+	return nil
+}
+
+func (f *RecordFold) fold(rec CellRecord) {
+	if rec.Err != "" {
+		f.Failed++
+		return
+	}
+	f.Completed++
+	if f.metrics == nil {
+		return
+	}
+	for _, s := range rec.Metrics {
+		prev, ok := f.metrics[s.Name]
+		if !ok {
+			f.metrics[s.Name] = s
+			continue
+		}
+		m, err := metrics.Merge(prev, s)
+		if err != nil {
+			// One collector per name per cell, so same-name summaries
+			// merge cleanly; on the impossible mixed-kind error the
+			// aggregate is dropped, never the run.
+			f.metrics = nil
+			return
+		}
+		f.metrics[s.Name] = m
+	}
+}
+
+// Digest returns the results digest of the records folded so far.
+func (f *RecordFold) Digest() string { return f.digest.Sum() }
+
+// Metrics returns the merged metric summaries sorted by collector name,
+// or nil when no record carried any or a merge failed.
+func (f *RecordFold) Metrics() []metrics.Summary { return metrics.Records(f.metrics) }

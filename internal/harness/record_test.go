@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -123,5 +124,75 @@ func TestSweepDigestStableAcrossWorkerCounts(t *testing.T) {
 	d1, d4 := run(1), run(4)
 	if d1 != d4 {
 		t.Errorf("digest varies with worker count: %s vs %s", d1, d4)
+	}
+}
+
+// TestRecordFold checks the shared fold against its definition: counts
+// over clean and failed cells, the RecordsDigest of the records, and the
+// index-ordered metrics.MergeAll of the per-cell summaries — whether the
+// records are folded in memory or fed as their stored encodings.
+func TestRecordFold(t *testing.T) {
+	res, err := acceptanceSweep(2).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := res.Records()
+	recs = append(recs, CellRecord{Index: len(recs), Cell: "broken", Err: "boom"})
+
+	var perCell []map[string]metrics.Summary
+	for _, rec := range recs {
+		if rec.Err == "" {
+			m := map[string]metrics.Summary{}
+			for _, s := range rec.Metrics {
+				m[s.Name] = s
+			}
+			perCell = append(perCell, m)
+		}
+	}
+	merged, err := metrics.MergeAll(perCell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire := func(ms []metrics.Summary) string {
+		b, err := json.Marshal(ms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	want := wire(metrics.Records(merged))
+
+	streamed := NewRecordFold()
+	for _, rec := range recs {
+		line, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := streamed.AddEncoded(rec, line); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, f := range map[string]*RecordFold{"FoldRecords": FoldRecords(recs), "AddEncoded": streamed} {
+		if f.Completed != len(recs)-1 || f.Failed != 1 {
+			t.Errorf("%s: %d completed, %d failed", name, f.Completed, f.Failed)
+		}
+		if f.Digest() != RecordsDigest(recs) {
+			t.Errorf("%s: digest %s, want %s", name, f.Digest(), RecordsDigest(recs))
+		}
+		if got := wire(f.Metrics()); len(merged) == 0 || got != want {
+			t.Errorf("%s: metrics %s, want %s", name, got, want)
+		}
+	}
+	if err := streamed.AddEncoded(recs[0], nil); err == nil {
+		t.Error("out-of-order record folded")
+	}
+
+	// A mixed-kind merge drops the aggregate and keeps the run.
+	clash := []CellRecord{
+		{Index: 0, Metrics: []metrics.Summary{{Name: "m", Kind: metrics.KindHist, Hist: &metrics.HistRecord{Count: 1, Exact: []int{1}}}}},
+		{Index: 1, Metrics: []metrics.Summary{{Name: "m", Kind: metrics.KindScalar, Scalars: map[string]int{"x": 1}}}},
+	}
+	if f := FoldRecords(clash); f.Metrics() != nil || f.Completed != 2 {
+		t.Errorf("mixed-kind fold: metrics %v, %d completed", f.Metrics(), f.Completed)
 	}
 }

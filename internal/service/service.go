@@ -52,7 +52,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -469,67 +468,24 @@ func (s *Server) finish(r *run, ctxErr error) {
 	s.cache.add(r.digest, r, len(recs))
 	s.mu.Unlock()
 
+	// Persisting is best effort: the run is already served and cached in
+	// memory, so a failure costs warmth after a restart, never correctness.
 	if ctxErr == nil && s.cfg.CacheDir != "" && len(recs) > 0 {
-		s.persist(r, recs, sum)
+		_ = store.Save(s.cfg.CacheDir, r.digest, r.span, recs, sum.ResultsDigest)
 	}
 
 	s.metrics.runsInFlight.Add(-1)
 	s.inRuns.Done()
 }
 
-// persist writes a completed run's records to the durable cache, best
-// effort: the run has already been served and cached in memory, so a
-// persistence failure costs warmth after a restart, never correctness.
-// Records the entry already covers (an earlier partial persist) are
-// skipped; the digest is recorded once the span is whole.
-func (s *Server) persist(r *run, recs []harness.CellRecord, sum *Summary) {
-	st, err := store.Open(s.cfg.CacheDir, r.digest, r.span, store.Options{})
-	if err != nil {
-		// A format bump or span clash: the entry is stale by contract —
-		// wipe it and recompute from this run's records.
-		_ = store.Remove(s.cfg.CacheDir, r.digest)
-		if st, err = store.Open(s.cfg.CacheDir, r.digest, r.span, store.Options{}); err != nil {
-			return
-		}
-	}
-	defer st.Close()
-	for _, rec := range recs {
-		if st.Has(rec.Index) {
-			continue
-		}
-		if st.Append(rec) != nil {
-			return
-		}
-	}
-	if st.Complete() {
-		_ = st.SetRecordsDigest(sum.ResultsDigest)
-	}
-}
-
-// loadFromDisk probes the durable cache for a finished entry of the
-// given digest. It returns the records only when the entry is complete
-// and its stored bytes re-derive the recorded digest; anything less —
-// partial, torn, bit-flipped, digest mismatch — is evicted or ignored,
-// never served.
+// loadFromDisk returns the records of the durable cache's verified entry
+// for digest, or nil when store.Lookup reports a miss.
 func (s *Server) loadFromDisk(digest string, span harness.IndexRange) []harness.CellRecord {
-	if _, err := os.Stat(store.EntryDir(s.cfg.CacheDir, digest)); err != nil {
-		return nil
-	}
-	st, err := store.Open(s.cfg.CacheDir, digest, span, store.Options{})
-	if err != nil {
-		_ = store.Remove(s.cfg.CacheDir, digest)
+	st, _ := store.Lookup(s.cfg.CacheDir, digest, span)
+	if st == nil {
 		return nil
 	}
 	defer st.Close()
-	if !st.Complete() || st.RecordsDigest() == "" {
-		return nil // a partial persist: not servable, but future runs may finish it
-	}
-	rederived, err := st.Digest()
-	if err != nil || rederived != st.RecordsDigest() {
-		st.Close()
-		_ = store.Remove(s.cfg.CacheDir, digest)
-		return nil
-	}
 	recs := make([]harness.CellRecord, 0, span.Count())
 	if st.Scan(func(rec harness.CellRecord) error {
 		recs = append(recs, rec)
@@ -540,40 +496,31 @@ func (s *Server) loadFromDisk(digest string, span harness.IndexRange) []harness.
 	return recs
 }
 
-// summarize folds sorted records into a Summary.
+// summarize folds sorted records into a Summary: the harness fold gives
+// the counts, digest and merged metrics; the headline scalars over clean
+// cells are the service's own.
 func summarize(requested int, recs []harness.CellRecord) *Summary {
-	sum := &Summary{Requested: requested, ResultsDigest: harness.RecordsDigest(recs)}
+	f := harness.FoldRecords(recs)
+	sum := &Summary{
+		Requested:     requested,
+		Completed:     f.Completed,
+		Failed:        f.Failed,
+		ResultsDigest: f.Digest(),
+		Metrics:       f.Metrics(),
+	}
 	var loadSum, delivSum int
-	var perCell []map[string]metrics.Summary
 	for _, rec := range recs {
 		if rec.Err != "" {
-			sum.Failed++
 			continue
 		}
-		sum.Completed++
 		loadSum += rec.MaxLoad
 		delivSum += rec.Delivered
 		sum.DroppedTotal += rec.Dropped
-		if rec.MaxLoad > sum.MaxLoadMax {
-			sum.MaxLoadMax = rec.MaxLoad
-		}
-		if len(rec.Metrics) > 0 {
-			m := make(map[string]metrics.Summary, len(rec.Metrics))
-			for _, s := range rec.Metrics {
-				m[s.Name] = s
-			}
-			perCell = append(perCell, m)
-		}
+		sum.MaxLoadMax = max(sum.MaxLoadMax, rec.MaxLoad)
 	}
 	if sum.Completed > 0 {
 		sum.MaxLoadMean = float64(loadSum) / float64(sum.Completed)
 		sum.DeliveredMeanMillis = delivSum * 1000 / sum.Completed
-	}
-	// One collector per name per cell, so same-name summaries merge
-	// cleanly; on the impossible mixed-kind error the aggregate is
-	// dropped, never the summary.
-	if merged, err := metrics.MergeAll(perCell); err == nil {
-		sum.Metrics = metrics.Records(merged)
 	}
 	return sum
 }

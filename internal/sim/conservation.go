@@ -19,8 +19,8 @@ type ConservationCheck struct {
 	Err error
 }
 
-// NewConservationCheck returns a fresh checker; register it in
-// Config.Observers.
+// NewConservationCheck returns a fresh checker; register it with
+// WithObservers.
 func NewConservationCheck() *ConservationCheck { return &ConservationCheck{} }
 
 // OnInject implements Observer.

@@ -123,26 +123,6 @@ func (NopObserver) OnRoundEnd(int, View) {}
 // in tests and experiments.
 type Invariant func(v View) error
 
-// Config describes one simulation run as a struct literal.
-//
-// Deprecated: Config predates the context-aware API and supports neither
-// cancellation nor engine reuse. Build a Spec with NewSpec and options and
-// call Run(ctx, spec) instead. Config remains as a compatibility shim.
-type Config struct {
-	Net       *network.Network
-	Protocol  Protocol
-	Adversary adversary.Adversary
-	Rounds    int
-
-	// VerifyAdversary re-checks every injection against the adversary's
-	// declared (ρ,σ) bound; a violation aborts the run. Crafted adversaries
-	// are pre-verified, so this defaults to off.
-	VerifyAdversary bool
-
-	Observers  []Observer
-	Invariants []Invariant
-}
-
 // Result summarizes a run. The historical scalar fields remain and are
 // sourced from the always-on max_load and latency collectors (see
 // internal/metrics); richer measurements land in Metrics, keyed by
@@ -194,8 +174,7 @@ type Result struct {
 
 // LinkUtilization returns the fraction of link v's total transmission
 // budget (rounds × bandwidth) actually used, in [0, 1]. ok is false for
-// sinks, zero-round runs, and Results not produced by the engine (the
-// deprecated zero-value path).
+// sinks, zero-round runs, and Results not produced by the engine.
 func (r Result) LinkUtilization(v network.NodeID) (float64, bool) {
 	if int(v) >= len(r.PerLinkForwards) || int(v) >= len(r.linkCapacity) || r.linkCapacity[v] == 0 {
 		return 0, false
@@ -689,12 +668,4 @@ func Run(ctx context.Context, spec Spec) (Result, error) {
 		return Result{}, err
 	}
 	return e.Run(ctx)
-}
-
-// RunConfig executes one run described by the legacy struct-literal Config.
-//
-// Deprecated: use Run with a Spec; RunConfig supports neither cancellation
-// nor engine reuse.
-func RunConfig(cfg Config) (Result, error) {
-	return Run(context.Background(), cfg.Spec())
 }

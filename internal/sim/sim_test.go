@@ -72,16 +72,16 @@ func TestNewEngineValidation(t *testing.T) {
 	proto := &greedyOldest{}
 	tests := []struct {
 		name string
-		cfg  Config
+		spec Spec
 	}{
-		{"nil net", Config{Protocol: proto, Adversary: adv, Rounds: 1}},
-		{"nil protocol", Config{Net: nw, Adversary: adv, Rounds: 1}},
-		{"nil adversary", Config{Net: nw, Protocol: proto, Rounds: 1}},
-		{"negative rounds", Config{Net: nw, Protocol: proto, Adversary: adv, Rounds: -1}},
+		{"nil net", NewSpec(nil, proto, adv, 1)},
+		{"nil protocol", NewSpec(nw, nil, adv, 1)},
+		{"nil adversary", NewSpec(nw, proto, nil, 1)},
+		{"negative rounds", NewSpec(nw, proto, adv, -1)},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := NewEngine(tt.cfg.Spec()); err == nil {
+			if _, err := NewEngine(tt.spec); err == nil {
 				t.Error("NewEngine succeeded, want error")
 			}
 		})
@@ -271,7 +271,7 @@ func TestPhasedAcceptanceStaging(t *testing.T) {
 			acceptCounts = append(acceptCounts, len(pkts))
 		},
 	}
-	eng, err := NewEngine(Config{Net: nw, Protocol: proto, Adversary: adv, Rounds: 7, Observers: []Observer{obs}}.Spec())
+	eng, err := NewEngine(NewSpec(nw, proto, adv, 7, WithObservers(obs)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestBadPhaseLengthRejected(t *testing.T) {
 	nw := network.MustPath(4)
 	proto := &phasedGreedy{}
 	proto.phase = 0
-	if _, err := NewEngine(Config{Net: nw, Protocol: proto, Adversary: adversary.Empty{}, Rounds: 1}.Spec()); err == nil {
+	if _, err := NewEngine(NewSpec(nw, proto, adversary.Empty{}, 1)); err == nil {
 		t.Error("phase length 0 accepted")
 	}
 }

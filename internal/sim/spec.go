@@ -104,19 +104,3 @@ func (s Spec) Rounds() int { return s.rounds }
 
 // Faults returns the run's fault model (nil for the loss-free model).
 func (s Spec) Faults() faults.Model { return s.faults }
-
-// Spec converts the legacy struct-literal Config into a Spec.
-//
-// Deprecated: build a Spec directly with NewSpec and options.
-func (c Config) Spec() Spec {
-	s := Spec{
-		net:             c.Net,
-		protocol:        c.Protocol,
-		adversary:       c.Adversary,
-		rounds:          c.Rounds,
-		verifyAdversary: c.VerifyAdversary,
-	}
-	s.observers = append(s.observers, c.Observers...)
-	s.invariants = append(s.invariants, c.Invariants...)
-	return s
-}

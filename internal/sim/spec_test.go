@@ -71,30 +71,6 @@ func TestSpecDeterminism(t *testing.T) {
 	}
 }
 
-// The Config shim and the Spec path must execute identically.
-func TestConfigShimMatchesSpec(t *testing.T) {
-	nw := network.MustPath(16)
-	mkAdv := func() adversary.Adversary {
-		adv, err := adversary.NewRandom(nw, adversary.Bound{Rho: rat.One, Sigma: 1}, nil, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return adv
-	}
-	old, err := RunConfig(Config{Net: nw, Protocol: &greedyOldest{}, Adversary: mkAdv(), Rounds: 150, VerifyAdversary: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	neu, err := Run(context.Background(),
-		NewSpec(nw, &greedyOldest{}, mkAdv(), 150, WithVerifyAdversary()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(old, neu) {
-		t.Errorf("shim and spec paths diverged:\n%+v\n%+v", old, neu)
-	}
-}
-
 func TestCancelledContextStopsRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -546,3 +546,76 @@ func (s *Store) Close() error {
 	s.closed = true
 	return err
 }
+
+// Fold streams the covered records into f in global index order: each
+// record is decoded for the counts and the metric merge, and hashed by
+// its stored bytes, so the fold's digest is re-derived from disk exactly
+// as Digest's is. Memory stays O(1) in cells.
+func (s *Store) Fold(f *harness.RecordFold) error {
+	return s.scanLines(func(line []byte) error {
+		var rec harness.CellRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return fmt.Errorf("store: record decode: %w", err)
+		}
+		return f.AddEncoded(rec, line)
+	})
+}
+
+// Lookup and Save are the one policy for whether an entry may be served
+// in place of a run. Lookup returns the entry for scenarioDigest over
+// span, open, only when it is complete and its stored bytes re-derive its
+// recorded digest; the caller closes it. A missing entry is a miss and
+// nothing is created. An entry that fails to open or whose digest does
+// not re-derive is evicted; a partial one is kept for a later Save to
+// finish. The error reports a failed eviction.
+func Lookup(root, scenarioDigest string, span harness.IndexRange) (*Store, error) {
+	if _, err := os.Stat(EntryDir(root, scenarioDigest)); err != nil {
+		return nil, nil
+	}
+	st, err := Open(root, scenarioDigest, span, Options{})
+	if err != nil {
+		return nil, Remove(root, scenarioDigest)
+	}
+	if !st.Complete() || st.RecordsDigest() == "" {
+		st.Close()
+		return nil, nil
+	}
+	if d, err := st.Digest(); err != nil || d != st.RecordsDigest() {
+		st.Close()
+		return nil, Remove(root, scenarioDigest)
+	}
+	return st, nil
+}
+
+// Save persists recs, the records of a complete run over span whose
+// results digest is digest, into the entry for scenarioDigest. An entry
+// that fails to open is stale by contract (a format bump, a span clash)
+// and is evicted and reopened. Only records the entry does not already
+// cover are appended, and the digest is sealed once the entry is
+// complete.
+func Save(root, scenarioDigest string, span harness.IndexRange, recs []harness.CellRecord, digest string) error {
+	st, err := Open(root, scenarioDigest, span, Options{})
+	if err != nil {
+		if err := Remove(root, scenarioDigest); err != nil {
+			return err
+		}
+		if st, err = Open(root, scenarioDigest, span, Options{}); err != nil {
+			return err
+		}
+	}
+	for _, rec := range recs {
+		if st.Has(rec.Index) {
+			continue
+		}
+		if err = st.Append(rec); err != nil {
+			break
+		}
+	}
+	if err == nil && st.Complete() {
+		err = st.SetRecordsDigest(digest)
+	}
+	if cerr := st.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}

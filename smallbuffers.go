@@ -71,9 +71,6 @@
 //	}
 //	agg, _ := sweep.Run(ctx)
 //	fmt.Println(agg.MaxLoad.Mean, agg.MaxLoad.Max)
-//
-// The struct-literal Config form, Run(Config), still works but is
-// deprecated; new code should use NewSpec/RunContext and Sweep.
 package smallbuffers
 
 import (
@@ -124,11 +121,6 @@ type (
 	Adversary = adversary.Adversary
 	// Protocol is a centralized online forwarding algorithm.
 	Protocol = sim.Protocol
-	// Config describes one simulation run as a struct literal.
-	//
-	// Deprecated: build a Spec with NewSpec and options and call
-	// RunContext; Config supports neither cancellation nor engine reuse.
-	Config = sim.Config
 	// Spec describes one simulation run for the context-aware API; build
 	// it with NewSpec and the With* options.
 	Spec = sim.Spec
@@ -462,12 +454,6 @@ func RunContext(ctx context.Context, spec Spec) (Result, error) { return sim.Run
 // executes it, Step drives it one round at a time, and Reset rebinds it to
 // another Spec while keeping its buffer allocations.
 func NewEngine(spec Spec) (*Engine, error) { return sim.NewEngine(spec) }
-
-// Run executes one simulation.
-//
-// Deprecated: use RunContext with a Spec built by NewSpec; Run supports
-// neither cancellation nor engine reuse.
-func Run(cfg Config) (Result, error) { return sim.RunConfig(cfg) }
 
 // --- Execution (Tier 2: sweeps) ---
 
@@ -809,6 +795,10 @@ func RunFleet(ctx context.Context, cfg FleetConfig, sc *Scenario) (*FleetResult,
 	return fleet.Run(ctx, cfg, sc)
 }
 
+// ParseFleetEndpoints expands a -fleet operand — a comma-separated
+// endpoint list, or @file with one per line — rejecting duplicates.
+func ParseFleetEndpoints(arg string) ([]string, error) { return fleet.ParseEndpoints(arg) }
+
 // VerifyFleetLocal re-runs sc in-process and errors unless its records
 // digest equals fleetDigest — the end-to-end reproducibility gate.
 func VerifyFleetLocal(ctx context.Context, sc *Scenario, fleetDigest string) error {
@@ -902,10 +892,19 @@ func OpenResultStore(root, scenarioDigest string, span CellIndexRange, opts Resu
 	return store.Open(root, scenarioDigest, span, opts)
 }
 
-// RemoveResultStoreEntry deletes one scenario's store entry (no error if
-// absent) — the recovery path for corrupt or stale entries.
-func RemoveResultStoreEntry(root, scenarioDigest string) error {
-	return store.Remove(root, scenarioDigest)
+// LookupResultStore returns the open store entry for scenarioDigest
+// when it is complete and its stored bytes re-derive its recorded
+// digest, and nil on a miss; it creates nothing, evicts entries that
+// fail to open or verify, and keeps partial ones.
+func LookupResultStore(root, scenarioDigest string, span CellIndexRange) (*ResultStore, error) {
+	return store.Lookup(root, scenarioDigest, span)
+}
+
+// SaveResultStore persists a complete run's records into the entry for
+// scenarioDigest — evicting a stale entry, appending only what is
+// missing — and seals digest once the entry is complete.
+func SaveResultStore(root, scenarioDigest string, span CellIndexRange, recs []SweepCellRecord, digest string) error {
+	return store.Save(root, scenarioDigest, span, recs, digest)
 }
 
 // StoreEntryDir returns the directory a scenario's store entry lives in
@@ -1014,5 +1013,5 @@ func FaultsExperiment(dropProbs ...Rat) Experiment {
 // reports whether every bound assertion held. Cancelling ctx aborts the
 // suite between simulation rounds.
 func RunAllExperiments(ctx context.Context, w io.Writer) (bool, error) {
-	return experiments.RunAll(ctx, w)
+	return experiments.RunAll(ctx, w, experiments.All())
 }
