@@ -18,6 +18,31 @@ func runCLI(t *testing.T, args ...string) (string, error) {
 	return buf.String(), err
 }
 
+// runWithStdin runs the CLI with stdin reading input from a pipe, the
+// way "aqtsim -dump-scenario | aqtsim -scenario -" feeds it.
+func runWithStdin(t *testing.T, input string, args ...string) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdin
+	os.Stdin = r
+	defer func() {
+		os.Stdin = saved
+		r.Close()
+	}()
+	go func() {
+		w.WriteString(input)
+		w.Close()
+	}()
+	out, err := runCLI(t, args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestDefaultRun(t *testing.T) {
 	out, err := runCLI(t, "-rounds", "200")
 	if err != nil {
@@ -209,6 +234,9 @@ func TestDumpScenarioDigestFixedPoint(t *testing.T) {
 	}
 	if first != second {
 		t.Errorf("digest not a dump/load fixed point:\n--- flags\n%s--- reloaded\n%s", first, second)
+	}
+	if piped := runWithStdin(t, dump, "-scenario", "-", "-digest"); piped != first {
+		t.Errorf("digest not a dump/pipe fixed point:\n--- flags\n%s--- piped\n%s", first, piped)
 	}
 	sc, err := sb.ParseScenario([]byte(dump))
 	if err != nil {

@@ -130,8 +130,8 @@ const RecordsVersion = 3
 // version-gated — see RecordsDigester) followed by their JSON
 // encodings, one per line, sorted by cell index. Two executions of the
 // same scenario — local or behind the service tier, at any worker count —
-// produce the same digest, which is what the CI corpus gate and the
-// remote-vs-local comparisons key on.
+// produce the same digest, which is what the corpus gate
+// (TestCorpusDigestsPinned) and the remote-vs-local comparisons key on.
 func RecordsDigest(recs []CellRecord) string {
 	sorted := RecordsSorted(recs)
 	d := NewRecordsDigester()

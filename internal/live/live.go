@@ -12,8 +12,8 @@
 // fed unconditionally from the publish path (the same work whether
 // anyone is watching or not), snapshots copy under a mutex, and no
 // state here reaches a wire record or digest. Attaching any number of
-// watchers leaves the records digest byte-identical — the property the
-// live-digest CI job gates.
+// watchers leaves the records digest byte-identical — the property
+// TestCorpusDigestsPinned gates.
 //
 // # Clock discipline
 //

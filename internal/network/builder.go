@@ -54,6 +54,9 @@ func RandomTree(n int, rng *rand.Rand, opts ...Option) (*Network, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("network: random tree needs ≥ 2 nodes, got %d", n)
 	}
+	if _, err := nodeCount("random tree", 0, n); err != nil {
+		return nil, err
+	}
 	parent := make([]NodeID, n)
 	for v := 0; v < n-1; v++ {
 		parent[v] = NodeID(v + 1 + rng.Intn(n-1-v))
@@ -70,7 +73,10 @@ func CaterpillarTree(spine, legs int, opts ...Option) (*Network, error) {
 	if spine < 2 || legs < 0 {
 		return nil, fmt.Errorf("network: caterpillar needs spine ≥ 2 and legs ≥ 0, got %d, %d", spine, legs)
 	}
-	n := spine * (1 + legs)
+	n, err := nodeCount("caterpillar", 0, spine, 1+legs)
+	if err != nil {
+		return nil, err
+	}
 	parent := make([]NodeID, n)
 	for i := 0; i < spine-1; i++ {
 		parent[i] = NodeID(i + 1)
@@ -93,6 +99,11 @@ func BinaryTree(height int, opts ...Option) (*Network, error) {
 	if height < 1 {
 		return nil, fmt.Errorf("network: binary tree needs height ≥ 1, got %d", height)
 	}
+	// 2^(h+1)−1 nodes: height 30 is the last that fits in maxNodes, and
+	// checking the height first keeps the shift from overflowing.
+	if height > 30 {
+		return nil, fmt.Errorf("network: binary tree of height %d exceeds %d nodes", height, maxNodes)
+	}
 	n := 1<<(height+1) - 1
 	// Heap order: node i's parent is (i−1)/2, root is 0. Relabel i → n−1−i so
 	// the root becomes n−1.
@@ -112,7 +123,10 @@ func SpiderTree(arms, length int, opts ...Option) (*Network, error) {
 	if arms < 1 || length < 1 {
 		return nil, fmt.Errorf("network: spider needs arms ≥ 1 and length ≥ 1, got %d, %d", arms, length)
 	}
-	n := arms*length + 1
+	n, err := nodeCount("spider", 1, arms, length)
+	if err != nil {
+		return nil, err
+	}
 	root := NodeID(n - 1)
 	parent := make([]NodeID, n)
 	parent[root] = None

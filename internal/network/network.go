@@ -15,6 +15,7 @@ package network
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -98,11 +99,35 @@ func resolveBandwidth(n int, opts []Option) ([]int, error) {
 	return bw, nil
 }
 
+// maxNodes bounds the node count of every generated network. Generator
+// sizes come from callers (scenario files, HTTP bodies), so a constructor
+// computes its count with nodeCount and checks it before allocating.
+const maxNodes = math.MaxInt32
+
+// nodeCount returns the product of factors plus extra, or an error if the
+// count overflows int or exceeds maxNodes. Every factor must be ≥ 1.
+func nodeCount(shape string, extra int, factors ...int) (int, error) {
+	n, ok := 1, true
+	for _, f := range factors {
+		if ok = f >= 1 && f <= maxNodes/n; !ok {
+			break
+		}
+		n *= f
+	}
+	if !ok || n > maxNodes-extra {
+		return 0, fmt.Errorf("network: %s with sizes %v exceeds %d nodes", shape, factors, maxNodes)
+	}
+	return n + extra, nil
+}
+
 // NewPath returns the directed path on n nodes: 0 → 1 → … → n−1.
-// It returns an error if n < 2.
+// It returns an error if n < 2 or n exceeds maxNodes.
 func NewPath(n int, opts ...Option) (*Network, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("network: path needs ≥ 2 nodes, got %d", n)
+	}
+	if _, err := nodeCount("path", 0, n); err != nil {
+		return nil, err
 	}
 	next := make([]NodeID, n)
 	for i := 0; i < n-1; i++ {

@@ -1,7 +1,10 @@
 package network
 
 import (
+	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -477,5 +480,50 @@ func TestBuilderForwardsBandwidthOptions(t *testing.T) {
 	}
 	if nw.Bandwidth(0) != 4 {
 		t.Errorf("Builder.Build dropped bandwidth options: B(0) = %d", nw.Bandwidth(0))
+	}
+}
+
+// TestGeneratorsRejectOversizedCounts: a node count computed from
+// caller-supplied sizes that overflows int or exceeds maxNodes is an
+// error returned before anything is allocated, never a makeslice panic.
+func TestGeneratorsRejectOversizedCounts(t *testing.T) {
+	type buildCase struct {
+		name  string
+		build func() (*Network, error)
+	}
+	cases := []buildCase{
+		{"binary height 31", func() (*Network, error) { return BinaryTree(31) }},
+		{"binary height 63", func() (*Network, error) { return BinaryTree(63) }},
+		{"binary height 64", func() (*Network, error) { return BinaryTree(64) }},
+		{"binary height max int", func() (*Network, error) { return BinaryTree(math.MaxInt) }},
+		{"caterpillar product over maxNodes", func() (*Network, error) { return CaterpillarTree(1<<16, 1<<15) }},
+		{"caterpillar product overflows int", func() (*Network, error) { return CaterpillarTree(math.MaxInt, math.MaxInt) }},
+		{"caterpillar legs max int", func() (*Network, error) { return CaterpillarTree(2, math.MaxInt) }},
+		{"spider product over maxNodes", func() (*Network, error) { return SpiderTree(1<<16, 1<<15) }},
+		{"spider plus root over maxNodes", func() (*Network, error) { return SpiderTree(1, maxNodes) }},
+		{"spider product overflows int", func() (*Network, error) { return SpiderTree(math.MaxInt, math.MaxInt) }},
+	}
+	if strconv.IntSize == 64 { // a single int exceeds maxNodes only on 64-bit platforms
+		cases = append(cases,
+			buildCase{"path max int", func() (*Network, error) { return NewPath(math.MaxInt) }},
+			buildCase{"random tree max int", func() (*Network, error) { return RandomTree(math.MaxInt, rand.New(rand.NewSource(1))) }})
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			nw, err := c.build()
+			if err == nil {
+				t.Fatalf("built a %d-node network, want an error", nw.Len())
+			}
+			if !strings.Contains(err.Error(), "exceeds") {
+				t.Errorf("error %q does not name the node limit", err)
+			}
+		})
+	}
+	// Ordinary sizes still build, including a caterpillar factor of 1.
+	if nw, err := SpiderTree(3, 5); err != nil || nw.Len() != 16 {
+		t.Errorf("SpiderTree(3, 5) = %v, %v", nw, err)
+	}
+	if nw, err := CaterpillarTree(4, 0); err != nil || nw.Len() != 4 {
+		t.Errorf("CaterpillarTree(4, 0) = %v, %v", nw, err)
 	}
 }

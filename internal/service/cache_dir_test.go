@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -23,7 +24,8 @@ func restartableServer(cfg Config) (*Server, *httptest.Server) {
 // TestCacheDirWarmRestart is the durable-cache acceptance: a daemon
 // finishes a run, restarts (full process replacement — new Server, same
 // CacheDir), and the second submission of the same scenario is a warm
-// cache hit with a byte-identical digest, never re-simulated.
+// cache hit with a byte-identical digest, never re-simulated, that
+// equals the local scenario run's digest.
 func TestCacheDirWarmRestart(t *testing.T) {
 	dir := t.TempDir()
 	body := scenarioBody("cache-dir-warm", 4, 100, 0)
@@ -50,6 +52,17 @@ func TestCacheDirWarmRestart(t *testing.T) {
 	}
 	if second.ResultsDigest != first.ResultsDigest {
 		t.Fatalf("digest drifted across restart: %s vs %s", second.ResultsDigest, first.ResultsDigest)
+	}
+	sc, err := scenario.Parse([]byte(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg, err := sc.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if local := agg.Digest(); second.ResultsDigest != local {
+		t.Fatalf("warm-restart digest %s, local run %s", second.ResultsDigest, local)
 	}
 	if len(second.Cells) != len(first.Cells) {
 		t.Fatalf("cell counts differ: %d vs %d", len(second.Cells), len(first.Cells))

@@ -41,8 +41,8 @@
 // abandoned work is never simulated to completion.
 //
 // Results are deterministic (integer metrics, seed-pinned traffic), so a
-// cached report is byte-identical to a fresh one — the CI corpus gate
-// compares the service's results digest against local aqtsim runs.
+// cached report is byte-identical to a fresh one — TestCorpusDigestsPinned
+// compares the service's results digest against the pinned local ones.
 package service
 
 import (

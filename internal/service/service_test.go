@@ -596,6 +596,35 @@ func TestEndpointsAndErrors(t *testing.T) {
 	}
 }
 
+// TestOversizedTopologyIsAnError: a binary tree of height 63 overflows
+// its node count. The POST gets a report whose one cell failed with the
+// builder's error, instead of a makeslice panic that kills the daemon,
+// and the daemon keeps answering.
+func TestOversizedTopologyIsAnError(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	code, rep := post(t, ts.URL, `{
+		"topology": {"name": "binary", "params": {"height": 63}},
+		"protocol": {"name": "tree-pts"},
+		"adversary": {"name": "random", "params": {"d": 1}},
+		"bound": {"rho": "1", "sigma": 1},
+		"rounds": 10
+	}`)
+	if code != http.StatusOK || rep.Summary == nil || rep.Summary.Failed != 1 || rep.Summary.Completed != 0 {
+		t.Fatalf("oversized POST: %d %+v", code, rep)
+	}
+	if len(rep.Cells) != 1 || !strings.Contains(rep.Cells[0].Err, "exceeds") {
+		t.Errorf("cell error does not name the node limit: %+v", rep.Cells)
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatalf("daemon gone after the oversized POST: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("healthz after the oversized POST: %d, want 200", resp.StatusCode)
+	}
+}
+
 // TestCacheEviction bounds the cache at a few cells and checks old
 // digests re-simulate after eviction.
 func TestCacheEviction(t *testing.T) {

@@ -2,10 +2,7 @@ package smallbuffers_test
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
-	"net/http/httptest"
-	"strings"
 	"testing"
 
 	sb "smallbuffers"
@@ -41,22 +38,9 @@ func TestServingFacade(t *testing.T) {
 		t.Error("SweepResultsDigest disagrees with SweepResult.Digest")
 	}
 
-	srv := sb.NewServer(sb.ServerConfig{Workers: 2})
-	defer srv.Close()
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var rep sb.ServerReport
-	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /v1/runs = %d (%s)", resp.StatusCode, rep.Error)
+	code, rep := submit(t, startDaemon(t, sb.ServerConfig{Workers: 2}), []byte(src))
+	if code != http.StatusOK {
+		t.Fatalf("POST /v1/runs = %d (%s)", code, rep.Error)
 	}
 	if rep.Digest != scenarioDigest {
 		t.Errorf("served scenario digest %s, local %s", rep.Digest, scenarioDigest)
