@@ -113,19 +113,16 @@ func goldenScenarios() []scenario {
 			"greedy-"+g.tag+"/path48/random-multi", 400,
 			func() sb.Protocol { return sb.NewGreedy(policy) }, multiDest))
 	}
-	// HPTS needs n = m^ℓ and ρ ≤ 1/ℓ.
-	scenarios = append(scenarios, scenario{name: "hpts2/path64/random-half", rounds: 600,
-		build: func() (*sb.Network, sb.Protocol, sb.Adversary, error) {
-			nw, err := sb.NewPath(64)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			adv, err := sb.NewRandomAdversary(nw, sb.Bound{Rho: sb.NewRat(1, 2), Sigma: 2}, nil, 17)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			return nw, sb.NewHPTS(2), adv, nil
-		}})
+	// HPTS needs n = m^ℓ and ρ ≤ 1/ℓ. The first scenario sends every packet
+	// to the sink; the others make every node a destination, so packets
+	// switch level and pseudo-buffer mid-route.
+	scenarios = append(scenarios,
+		hptsScenario("hpts2/path64/random-half", func() sb.Protocol { return sb.NewHPTS(2) }, sb.NewRat(1, 2), false, 17),
+		hptsScenario("hpts2/path64/random-alldest", func() sb.Protocol { return sb.NewHPTS(2) }, sb.NewRat(1, 2), true, 29),
+		hptsScenario("hpts3/path64/random-alldest", func() sb.Protocol { return sb.NewHPTS(3) }, sb.NewRat(1, 3), true, 31),
+		hptsScenario("hpts2-noprebad/path64/random-alldest",
+			func() sb.Protocol { return sb.NewHPTS(2, sb.HPTSAblatePreBad()) }, sb.NewRat(1, 2), true, 37),
+	)
 	// Tree protocols on non-path shapes.
 	scenarios = append(scenarios, scenario{name: "tree-pts/spider4x5/random-root", rounds: 400,
 		build: func() (*sb.Network, sb.Protocol, sb.Adversary, error) {
@@ -153,6 +150,28 @@ func goldenScenarios() []scenario {
 			return nw, sb.NewTreePPTS(), adv, nil
 		}})
 	return scenarios
+}
+
+// hptsScenario is a 600-round HPTS cell on path(64) at σ = 2. With allDest
+// every node but 0 is a destination; otherwise every packet goes to the sink.
+func hptsScenario(name string, proto func() sb.Protocol, rho sb.Rat, allDest bool, seed int64) scenario {
+	return scenario{name: name, rounds: 600, build: func() (*sb.Network, sb.Protocol, sb.Adversary, error) {
+		nw, err := sb.NewPath(64)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		var dests []sb.NodeID
+		if allDest {
+			for v := 1; v < nw.Len(); v++ {
+				dests = append(dests, sb.NodeID(v))
+			}
+		}
+		adv, err := sb.NewRandomAdversary(nw, sb.Bound{Rho: rho, Sigma: 2}, dests, seed)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		return nw, proto(), adv, nil
+	}}
 }
 
 const goldenPath = "testdata/golden_b1.json"
