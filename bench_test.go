@@ -409,21 +409,66 @@ func BenchmarkAdversaryVerifier(b *testing.B) {
 	}
 }
 
-// BenchmarkHierarchyClass measures the pseudo-buffer classification that
-// HPTS performs per packet per round.
+// BenchmarkHierarchyClass measures the specification of the pseudo-buffer
+// classification, Hierarchy.Class, over every (node, destination) pair of
+// path(256) at ℓ = 4. HPTS itself classifies through a digit table that
+// tests compare against Class.
 func BenchmarkHierarchyClass(b *testing.B) {
 	h, err := sb.NewHierarchy(4, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
-	n := 256
+	n := h.N()
 	b.ReportAllocs()
 	sum := 0
 	for i := 0; i < b.N; i++ {
-		segs := h.Segments(i%(n-1), n-1)
-		sum += len(segs)
+		w := 1 + i%(n-1)
+		j, k := h.Class(i%w, w)
+		sum += j + k
 	}
-	_ = sum
+	classSink = sum
+}
+
+// classSink keeps BenchmarkHierarchyClass's loop from being optimised away.
+var classSink int
+
+// BenchmarkHPTSDecide isolates HPTS's per-round decision on a loaded
+// configuration: ℓ = 2 on path(256) with every node a destination at
+// ρ = 1/2, σ = 2, after 256 warm-up rounds. Two engines one round apart
+// alternate, so both levels are served.
+func BenchmarkHPTSDecide(b *testing.B) {
+	nw, err := sb.NewPath(256)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var dests []sb.NodeID
+	for v := 1; v < nw.Len(); v++ {
+		dests = append(dests, sb.NodeID(v))
+	}
+	var protos [2]sb.Protocol
+	var engines [2]*sb.Engine
+	for x := range engines {
+		adv, err := sb.NewRandomAdversary(nw, sb.Bound{Rho: sb.NewRat(1, 2), Sigma: 2}, dests, 41)
+		if err != nil {
+			b.Fatal(err)
+		}
+		protos[x] = sb.NewHPTS(2)
+		if engines[x], err = sb.NewEngine(sb.NewSpec(nw, protos[x], adv, 512)); err != nil {
+			b.Fatal(err)
+		}
+		for r := 0; r < 256+x; r++ {
+			if _, err := engines[x].Step(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := protos[i%2].Decide(engines[i%2]); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // ExampleRenderFigure1 pins the Figure 1 reproduction as a documented,

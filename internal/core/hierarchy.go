@@ -129,18 +129,6 @@ func (h *Hierarchy) IntervalOf(j, i int) (r, lo, hi int) {
 	return r, lo, lo + size - 1
 }
 
-// IntermediateDests returns the m intermediate destinations of I_{j,r}: the
-// left endpoints of its level-(j−1) subintervals, in increasing order. For
-// j = 0 these are the m individual nodes of the interval.
-func (h *Hierarchy) IntermediateDests(j, r int) []int {
-	lo, _ := h.Interval(j, r)
-	out := make([]int, h.m)
-	for c := 0; c < h.m; c++ {
-		out[c] = lo + c*h.pow[j]
-	}
-	return out
-}
-
 // Class returns the pseudo-buffer class of a packet currently at node i
 // with final destination w (Definition 4.3): Major = segment level
 // lv(i, w), Minor = the index k of the packet's level-j intermediate

@@ -92,8 +92,9 @@ func TestFigure1Partition(t *testing.T) {
 	if lo, hi := h.Interval(2, 0); lo != 0 || hi != 7 {
 		t.Errorf("I_{2,0} = [%d,%d], want [0,7]", lo, hi)
 	}
-	if got := h.IntermediateDests(2, 0); len(got) != 2 || got[0] != 0 || got[1] != 4 {
-		t.Errorf("dests of I_{2,0} = %v, want [0 4]", got)
+	// A packet at 1 headed for 6 leaves the first half for the second.
+	if got := h.IntermediateDest(1, 6); got != 4 {
+		t.Errorf("x(1,6) = %d, want 4", got)
 	}
 	// Digits of 13 = 1101₂.
 	wantDigits := []int{1, 0, 1, 1}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"smallbuffers/internal/adversary"
 	"smallbuffers/internal/buffer"
@@ -33,10 +34,25 @@ type HPTS struct {
 	ell          int
 	ablatePreBad bool
 	h            *Hierarchy
-	nw           *network.Network
+	// digits[i·ℓ+j] is the j-th base-m digit of node i, so classifying a
+	// packet compares two rows instead of dividing.
+	digits []int32
 	// scratch, reused across rounds:
 	actLevel []int // per node: activated level, −1 = inactive
 	actK     []int // per node: activated destination index
+	// codes holds each buffered packet's class j·m+k (−1 if the packet sits
+	// at its destination), node by node in arrival order; node i's codes
+	// are codes[off[i]:off[i+1]].
+	codes []int
+	off   []int
+	// firstBad[r·m+k] is the left-most node of the r-th level-λ interval
+	// whose (λ,k)-pseudo-buffer holds ≥ 2 packets, or −1; seen[k] is the
+	// last node found holding a (λ,k) packet while filling it.
+	firstBad []int
+	seen     []int
+	sent     []int           // per node: packets forwarded this round
+	ps       []packet.Packet // one pseudo-buffer, filtered from a node
+	fwd      []sim.Forward   // this round's decisions; Decide returns a copy
 }
 
 var _ sim.Protocol = (*HPTS)(nil)
@@ -88,33 +104,90 @@ func (p *HPTS) Attach(nw *network.Network, bound adversary.Bound, _ []network.No
 	if err := h.Validate(nw); err != nil {
 		return err
 	}
+	n := nw.Len()
 	p.h = h
-	p.nw = nw
-	p.actLevel = make([]int, nw.Len())
-	p.actK = make([]int, nw.Len())
+	p.digits = make([]int32, n*p.ell)
+	for i := 0; i < n; i++ {
+		for j := 0; j < p.ell; j++ {
+			p.digits[i*p.ell+j] = int32(h.Digit(i, j))
+		}
+	}
+	p.actLevel = make([]int, n)
+	p.actK = make([]int, n)
+	p.off = make([]int, n+1)
+	p.firstBad = make([]int, n) // |I_0|·m = n entries cover every level
+	p.seen = make([]int, h.M())
+	p.sent = make([]int, n+1)
 	// ρ·ℓ ≤ 1 is the premise of Theorem 4.1; running outside it is allowed
 	// (the bound simply may not hold), so no error here.
 	_ = bound
 	return nil
 }
 
-// hptsView resolves pseudo-buffers lazily from the engine view.
-type hptsView struct {
-	v sim.View
-	h *Hierarchy
-}
-
-// pseudo returns L_{j,k}(i): packets at node i whose segment level is j and
-// whose level-j intermediate destination has index k, in arrival order.
-func (hv hptsView) pseudo(i, j, k int) []packet.Packet {
-	var out []packet.Packet
-	for _, pk := range hv.v.Packets(network.NodeID(i)) {
-		lvl, kk := hv.h.Class(i, int(pk.Dst))
-		if lvl == j && kk == k {
-			out = append(out, pk)
+// code returns the pseudo-buffer class j·m+k of a packet at node i headed
+// for w, with (j, k) = Hierarchy.Class(i, w), or −1 if i = w.
+func (p *HPTS) code(i, w int) int {
+	di := p.digits[i*p.ell : (i+1)*p.ell]
+	dw := p.digits[w*p.ell : (w+1)*p.ell]
+	for j := p.ell - 1; j >= 0; j-- {
+		if di[j] != dw[j] {
+			return j*p.h.M() + int(dw[j])
 		}
 	}
-	return out
+	return -1
+}
+
+// classify walks every node's packets once: it records each packet's class
+// code and, for the level λ served this round, the left-most bad
+// pseudo-buffer of every (interval, destination index) pair.
+func (p *HPTS) classify(v sim.View, lambda int) {
+	m := p.h.M()
+	size := p.h.Pow(lambda + 1)
+	for k := range p.seen {
+		p.seen[k] = -1
+	}
+	bad := p.firstBad[:p.h.IntervalCount(lambda)*m]
+	for x := range bad {
+		bad[x] = -1
+	}
+	p.codes = p.codes[:0]
+	for i := 0; i < p.h.N(); i++ {
+		p.off[i] = len(p.codes)
+		for _, pk := range v.Packets(network.NodeID(i)) {
+			c := p.code(i, int(pk.Dst))
+			p.codes = append(p.codes, c)
+			if c < 0 || c/m != lambda {
+				continue
+			}
+			k := c % m
+			if p.seen[k] != i {
+				p.seen[k] = i
+			} else if x := i/size*m + k; bad[x] < 0 {
+				bad[x] = i
+			}
+		}
+	}
+	p.off[p.h.N()] = len(p.codes)
+}
+
+// pseudo returns L_{j,k}(i) for class code c = j·m+k: the packets at node i
+// in that pseudo-buffer, in arrival order. The slice is scratch, valid until
+// the next call.
+func (p *HPTS) pseudo(v sim.View, i, c int) []packet.Packet {
+	pkts := v.Packets(network.NodeID(i))
+	p.ps = p.ps[:0]
+	for x, cx := range p.codes[p.off[i]:p.off[i+1]] {
+		if cx == c {
+			p.ps = append(p.ps, pkts[x])
+		}
+	}
+	return p.ps
+}
+
+// dest returns w_k of node i's level-j interval: lo + k·m^j.
+func (p *HPTS) dest(i, j, k int) int {
+	size := p.h.Pow(j + 1)
+	return i/size*size + k*p.h.Pow(j)
 }
 
 // Decide implements sim.Protocol (Algorithm 3's forwarding step).
@@ -128,18 +201,18 @@ func (hv hptsView) pseudo(i, j, k int) []packet.Packet {
 // strictly decrease.
 func (p *HPTS) Decide(v sim.View) ([]sim.Forward, error) {
 	lambda := p.ell - 1 - v.Round()%p.ell
-	hv := hptsView{v: v, h: p.h}
+	p.classify(v, lambda)
 	for i := range p.actLevel {
 		p.actLevel[i] = -1
 	}
 	// Lines 6–8: FormPaths on every level-λ interval.
 	for r := 0; r < p.h.IntervalCount(lambda); r++ {
-		p.formPaths(hv, lambda, r)
+		p.formPaths(lambda, r)
 	}
 	// Lines 9–11: anticipatory activation at lower levels.
 	if !p.ablatePreBad {
 		for j := lambda - 1; j >= 0; j-- {
-			p.activatePreBad(hv, j)
+			p.activatePreBad(v, j)
 		}
 	}
 	// Line 12: every non-empty activated pseudo-buffer forwards. On
@@ -148,50 +221,41 @@ func (p *HPTS) Decide(v sim.View) ([]sim.Forward, error) {
 	// B(i) only when i+1 is the pseudo-buffer's own intermediate destination
 	// (where its packets leave this pseudo-buffer system). B = 1 is the
 	// paper's one-packet rule exactly; B > 1 is best-effort (see type doc).
-	var out []sim.Forward
-	sent := make([]int, p.h.N()+1)
+	p.fwd = p.fwd[:0]
 	for i := p.h.N() - 1; i >= 0; i-- {
+		p.sent[i] = 0
 		if p.actLevel[i] < 0 {
 			continue
 		}
 		j, k := p.actLevel[i], p.actK[i]
-		ps := hv.pseudo(i, j, k)
 		limit := v.Bandwidth(network.NodeID(i))
-		ri, _, _ := p.h.IntervalOf(j, i)
-		if wk := p.h.IntermediateDests(j, ri)[k]; i+1 != wk {
-			limit = min(limit, max(1, sent[i+1]))
+		if i+1 != p.dest(i, j, k) {
+			limit = min(limit, max(1, p.sent[i+1]))
 		}
-		n0 := len(out)
-		out = appendLIFOTop(out, network.NodeID(i), ps, limit)
-		sent[i] = len(out) - n0
+		n0 := len(p.fwd)
+		p.fwd = appendLIFOTop(p.fwd, network.NodeID(i), p.pseudo(v, i, j*p.h.M()+k), limit)
+		p.sent[i] = len(p.fwd) - n0
 	}
-	return out, nil
+	if len(p.fwd) == 0 {
+		return nil, nil
+	}
+	return slices.Clone(p.fwd), nil
 }
 
 // formPaths is Algorithm 4 on interval I_{λ,r}: a PPTS sweep over the
-// interval's m intermediate destinations.
-func (p *HPTS) formPaths(hv hptsView, lambda, r int) {
+// interval's m intermediate destinations w_k = lo + k·m^λ.
+func (p *HPTS) formPaths(lambda, r int) {
+	m, step := p.h.M(), p.h.Pow(lambda)
 	lo, _ := p.h.Interval(lambda, r)
-	dests := p.h.IntermediateDests(lambda, r)
-	m := p.h.M()
-	frontier := dests[m-1] // Algorithm 4 line 2: i′ ← w_{m−1}
+	bad := p.firstBad[r*m : (r+1)*m]
+	frontier := lo + (m-1)*step // Algorithm 4 line 2: i′ ← w_{m−1}
 	for k := m - 1; k >= 0; k-- {
-		wk := dests[k]
 		// Left-most bad (λ,k)-pseudo-buffer strictly left of the frontier.
-		ik := -1
-		for i := lo; i < frontier; i++ {
-			if len(hv.pseudo(i, lambda, k)) >= 2 {
-				ik = i
-				break
-			}
-		}
-		if ik < 0 {
+		ik := bad[k]
+		if ik < 0 || ik >= frontier {
 			continue
 		}
-		hi := frontier - 1
-		if wk-1 < hi {
-			hi = wk - 1
-		}
+		hi := min(frontier, lo+k*step) - 1
 		for i := ik; i <= hi; i++ {
 			p.actLevel[i] = lambda
 			p.actK[i] = k
@@ -205,34 +269,35 @@ func (p *HPTS) formPaths(hv hptsView, lambda, r int) {
 // at a, re-enters at level j, and would land on an occupied pseudo-buffer
 // (Definition 4.6), activate the chain of (j, k)-pseudo-buffers from a up
 // to P's level-j intermediate destination or the first active node.
-func (p *HPTS) activatePreBad(hv hptsView, j int) {
+func (p *HPTS) activatePreBad(v sim.View, j int) {
+	m := p.h.M()
 	for r := 0; r < p.h.IntervalCount(j); r++ {
-		a, b := p.h.Interval(j, r)
+		a, _ := p.h.Interval(j, r)
 		if a == 0 || p.actLevel[a] >= 0 {
 			continue // no upstream neighbor, or a already active
 		}
 		// The unique active pseudo-buffer of node a−1, if any, sends its
 		// LIFO top this round.
-		if p.actLevel[a-1] < 0 {
+		jOld, kOld := p.actLevel[a-1], p.actK[a-1]
+		if jOld < 0 {
 			continue
 		}
-		ps := hv.pseudo(a-1, p.actLevel[a-1], p.actK[a-1])
+		ps := p.pseudo(v, a-1, jOld*m+kOld)
 		if len(ps) == 0 {
 			continue
 		}
-		pkt := ps[len(ps)-1]
-		w := int(pkt.Dst)
+		w := int(ps[len(ps)-1].Dst)
 		if w == a {
 			continue // delivered on arrival, cannot become bad
 		}
 		// P completes its current segment exactly at a?
-		if p.h.IntermediateDest(a-1, w) != a {
+		if p.dest(a-1, jOld, kOld) != a {
 			continue
 		}
 		// P's new level at a must be this j, and its new pseudo-buffer
 		// occupied (pre-bad).
-		jNew, kNew := p.h.Class(a, w)
-		if jNew != j || len(hv.pseudo(a, jNew, kNew)) < 1 {
+		c := p.code(a, w)
+		if c/m != j || !slices.Contains(p.codes[p.off[a]:p.off[a+1]], c) {
 			continue
 		}
 		// Chain [a, wEnd]: maximal inactive prefix up to w_k − 1, where w_k
@@ -241,10 +306,8 @@ func (p *HPTS) activatePreBad(hv hptsView, j int) {
 		// switch level on arrival), and marking it active would block the
 		// cascaded pre-bad activation of the next interval (the event-(a)
 		// chain of Claim 2).
-		wk := p.h.IntermediateDest(a, w)
-		if wk-1 > b {
-			wk = b + 1 // cannot happen (segment stays in the interval); guard anyway
-		}
+		kNew := c % m
+		wk := a + kNew*p.h.Pow(j) // a is the interval's left endpoint
 		wEnd := a - 1
 		for i := a; i <= wk-1; i++ {
 			if p.actLevel[i] >= 0 {

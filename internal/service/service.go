@@ -429,6 +429,9 @@ func (s *Server) finish(r *run, ctxErr error) {
 		return
 	}
 	r.finished = true
+	// Only execute reads the compiled sweep; a finished run may sit in the
+	// cache for a long time, so let its grid be collected.
+	r.sweep = nil
 	recs := harness.RecordsSorted(r.records)
 	sum := summarize(r.requested, recs)
 	r.summary = sum

@@ -655,6 +655,27 @@ func TestCacheEviction(t *testing.T) {
 	}
 }
 
+// TestFinishedRunDropsSweep: a finished run stays in the cache for its
+// records and summary, but not for the compiled sweep that produced them.
+func TestFinishedRunDropsSweep(t *testing.T) {
+	svc, ts := newTestServer(t, Config{Workers: 1})
+	code, rep := post(t, ts.URL, scenarioBody("drop-sweep", 2, 50, 0))
+	if code != http.StatusOK || rep.Status != StatusDone {
+		t.Fatalf("POST = %d %+v", code, rep)
+	}
+	svc.mu.Lock()
+	r := svc.runs[rep.ID]
+	svc.mu.Unlock()
+	if r == nil {
+		t.Fatalf("run %s not indexed", rep.ID)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.finished || r.sweep != nil {
+		t.Errorf("finished=%v, sweep retained=%v; want a finished run without its sweep", r.finished, r.sweep != nil)
+	}
+}
+
 // TestQueueFullRejects saturates a 1-worker, 1-deep queue: the third
 // submission gets 503, the started counter stays monotonic (the
 // rejected run is finished as cancelled, not un-counted), and the
